@@ -14,10 +14,10 @@
 # stage (a second run over the same repository must load the first
 # run's committed entry and reach its first optimized install strictly
 # earlier, and repository bytes plus metrics must not depend on the
-# compile worker count), a
-# ThreadSanitizer pass over the
-# parallel experiment engine, the sharded profile repository, and the
-# background compile pipeline, and determinism checks: --jobs 8
+# compile worker count), a ThreadSanitizer pass over the parallel
+# experiment engine, the sharded profile repository, and the
+# background compile pipeline, an AddressSanitizer+UBSan pass over the
+# fast tier and the fuzz smoke, and determinism checks: --jobs 8
 # produces byte-identical JSON to --jobs 1, --dcg-shards 8 produces
 # byte-identical profiles, metrics, and self-observability reports to
 # --dcg-shards 1, and --compile-jobs 4 produces byte-identical
@@ -31,6 +31,8 @@
 #       keeps its cached setting).
 #   CBSVM_SKIP_TSAN=1  skip the ThreadSanitizer stage (it maintains a
 #       second build tree at <build-dir>-tsan).
+#
+# The ASan+UBSan stage maintains a third build tree at <build-dir>-asan.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -364,5 +366,20 @@ if [[ "${CBSVM_SKIP_TSAN:-}" != "1" ]]; then
   (cd "$TSAN_BUILD" && CBSVM_JOBS=8 \
     ctest --output-on-failure -R '^(ParallelRunner|DCGConcurrency|CompileQueue|Osr|ProfileRepository)')
 fi
+
+echo "== address + undefined-behaviour sanitizer: fast tier + fuzz smoke =="
+# The code cache frees a retired version the moment its last pinned
+# frame leaves, so a pin-count slip would be a use-after-free: run the
+# fast tier and the fuzz smoke (plain and long-loop programs, where
+# installs land mid-frame) under ASan+UBSan.
+ASAN_BUILD="${BUILD}-asan"
+cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
+# A whole-tree sanitized build: bound the compile jobs, as each one is
+# large.
+cmake --build "$ASAN_BUILD" -j "$(nproc)"
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+(cd "$ASAN_BUILD" && ctest --output-on-failure -j "$(nproc)" -L fast)
+"$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1
+"$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1 --long-loops
 
 echo "== all checks passed =="

@@ -13,11 +13,11 @@
 #include "opt/InlineOracle.h"
 #include "profiling/OverlapMetric.h"
 #include "profiling/ProfileCodec.h"
-#include "profiling/ProfileIO.h"
 #include "profiling/ProfilerRegistry.h"
 #include "vm/VirtualMachine.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 using namespace cbs;
@@ -55,9 +55,19 @@ struct RunResult {
   uint64_t Calls = 0;
 };
 
-RunResult runProgram(const bc::Program &P, vm::VMConfig Config) {
+/// Runs \p P once; with \p AC the adaptive optimization system is
+/// attached, so hot methods recompile through the background compile
+/// queue while the program runs.
+RunResult runProgram(const bc::Program &P, vm::VMConfig Config,
+                     const aos::AOSConfig *AC = nullptr) {
   Config.MaxCycles = std::min(Config.MaxCycles, OracleMaxCycles);
+  opt::NewJikesOracle InlineOracle;
+  std::optional<aos::AdaptiveSystem> AOS;
+  if (AC)
+    AOS.emplace(&InlineOracle, *AC);
   vm::VirtualMachine VM(P, Config);
+  if (AOS)
+    VM.setClient(&*AOS);
   RunResult R;
   R.State = VM.run();
   R.Trap = VM.trapMessage();
@@ -83,8 +93,8 @@ std::string describeRun(const RunResult &R) {
 }
 
 /// Checks \p Candidate against \p Base; returns "" or the divergence.
-std::string compareRuns(const char *BaseName, const RunResult &Base,
-                        const char *CandName, const RunResult &Cand) {
+std::string compareRuns(std::string_view BaseName, const RunResult &Base,
+                        std::string_view CandName, const RunResult &Cand) {
   std::ostringstream OS;
   if (Cand.State != Base.State) {
     OS << CandName << " run ended " << vm::runStateName(Cand.State)
@@ -372,322 +382,148 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
-// async-compile-stability
+// The AOS variant-stability oracles
 //===----------------------------------------------------------------------===//
 
-/// runProgram with the adaptive optimization system attached: the
-/// generated program runs under CBS sampling while hot methods
-/// recompile through the background compile queue.
-RunResult runProgramWithAOS(const bc::Program &P, vm::VMConfig Config,
-                            aos::AOSConfig AC) {
-  Config.MaxCycles = std::min(Config.MaxCycles, OracleMaxCycles);
-  opt::NewJikesOracle InlineOracle;
-  aos::AdaptiveSystem AOS(&InlineOracle, AC);
-  vm::VirtualMachine VM(P, Config);
-  VM.setClient(&AOS);
-  RunResult R;
-  R.State = VM.run();
-  R.Trap = VM.trapMessage();
-  R.Output = VM.output();
-  R.HeapObjects = VM.heap().numObjects();
-  R.HeapBytes = VM.heap().bytesAllocated();
-  R.Profile = VM.profile();
-  R.Samples = VM.stats().SamplesTaken;
-  R.Calls = VM.stats().CallsExecuted;
-  return R;
+/// The CBS settings every AOS variant run shares. Generated programs
+/// are small: sparse sampling on a fast timer still promotes (and thus
+/// installs) methods.
+vm::VMConfig variantConfig(uint64_t Seed, double LatencyScale, bool Osr) {
+  vm::VMConfig Config = plainConfig(Seed);
+  Config.Profiler.Kind = vm::ProfilerKind::CBS;
+  Config.Profiler.CBS.Stride = 2;
+  Config.Profiler.CBS.SamplesPerTick = 4;
+  Config.TimerPeriodCycles = 2'000;
+  Config.Costs.CompileLatencyScale = LatencyScale;
+  Config.EnableOSR = Osr;
+  return Config;
 }
 
-class AsyncCompileStabilityOracle : public Oracle {
+/// One AOS configuration an oracle checks. Every arm runs the same
+/// template:
+///  1. at each semantic latency with compile-jobs 0 — output and heap
+///     must match the no-AOS baseline;
+///  2. at latency 1 with compile-jobs 0 — same check;
+///  3. at latency 1 with compile-jobs 2 — byte-identical to step 2 in
+///     state, output, heap, sample count and encoded profile, because
+///     workers only pre-compute pure compile results and every install,
+///     deopt and OSR decision is made on the VM thread in virtual time.
+struct VariantArm {
+  /// Names this arm's runs in violation messages.
+  const char *Label;
+  bool Osr = false;
+  /// The forced invalidation storm: every version the AOS installs is
+  /// deoptimized at the very next taken yieldpoint, forever.
+  bool Storm = false;
+  std::vector<double> SemanticLatencies;
+  /// Run a cold AOS first and warm-start steps 2 and 3 from its profile.
+  bool WarmFromCold = false;
+};
+
+struct VariantRow {
+  const char *Id;
+  const char *Describe;
+  std::vector<VariantArm> Arms;
+};
+
+/// Profiling and profile-directed optimization change speed, never
+/// semantics: each row drives the AOS through one mechanism that must
+/// stay invisible to the program.
+const VariantRow VariantRows[] = {
+    // Recompiling through the queue, immediately or after a long
+    // modelled latency.
+    {"async-compile-stability",
+     "the background compile pipeline preserves program semantics at any "
+     "modelled latency and is byte-identical at any --compile-jobs count",
+     {{"aos", false, false, {0, 8}}}},
+    // The worst case the deopt controller can inflict.
+    {"deopt-storm-stability",
+     "a forced invalidation storm (every AOS install deoptimized at every "
+     "taken yieldpoint) leaves output and heap byte-identical to the no-AOS "
+     "baseline at any --compile-jobs",
+     {{"deopt-storm", false, true, {}}}},
+    // Frames transferring mid-loop between versions: promotion OSR
+    // (latency 0 fires at the very next backedge), then deopt-exit OSR
+    // off storm-invalidated code.
+    {"osr-stability",
+     "on-stack replacement (promotion and deopt-exit transfers at "
+     "loop-header yieldpoints) preserves output and heap and is "
+     "byte-identical at any --compile-jobs",
+     {{"osr", true, false, {0, 8}}, {"osr-deopt-storm", true, true, {}}}},
+    // Warm-start advice only changes *when* code installs.
+    {"warm-start-stability",
+     "warm-starting the AOS from a prior run's profile preserves output "
+     "and heap and is byte-identical at any --compile-jobs",
+     {{"warm-start", false, false, {}, true}}},
+};
+
+class VariantOracle : public Oracle {
 public:
-  const char *id() const override { return "async-compile-stability"; }
-  const char *describe() const override {
-    return "the background compile pipeline preserves program "
-           "semantics at any modelled latency and is byte-identical "
-           "at any --compile-jobs count";
-  }
+  explicit VariantOracle(const VariantRow &Row) : Row(Row) {}
+
+  const char *id() const override { return Row.Id; }
+  const char *describe() const override { return Row.Describe; }
 
   std::string check(const OracleInput &In) const override {
     RunResult Base = runProgram(In.P, plainConfig(In.Seed));
     // A baseline that traps or runs out of budget is output-stability's
-    // finding, not a pipeline divergence.
+    // finding, not a variant divergence.
     if (Base.State != vm::RunState::Finished)
       return "";
+    for (const VariantArm &Arm : Row.Arms)
+      if (std::string D = checkArm(In, Base, Arm); !D.empty())
+        return D;
+    return "";
+  }
 
-    auto CbsConfig = [&](double LatencyScale) {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      Config.Profiler.Kind = vm::ProfilerKind::CBS;
-      Config.Profiler.CBS.Stride = 2;
-      Config.Profiler.CBS.SamplesPerTick = 4;
-      // Generated programs are small: tick fast enough that promotions
-      // (and thus installs) actually happen.
-      Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = LatencyScale;
-      return Config;
-    };
-    auto WithJobs = [](uint32_t Jobs) {
+private:
+  static std::string checkArm(const OracleInput &In, const RunResult &Base,
+                              const VariantArm &Arm) {
+    std::string Label = Arm.Label;
+    std::shared_ptr<const prof::DCGSnapshot> Warm;
+    auto AOSRun = [&](double LatencyScale, uint32_t Jobs) {
       aos::AOSConfig AC;
       AC.CompileJobs = Jobs;
-      return AC;
+      if (Arm.Storm) {
+        AC.Deopt.Enabled = true;
+        AC.Deopt.ForceStormForTesting = true;
+        // A low cap so the storm also exercises conservative pinning.
+        AC.Deopt.MaxDeoptsPerMethod = 2;
+      }
+      AC.WarmStart.Profile = Warm;
+      return runProgram(In.P, variantConfig(In.Seed, LatencyScale, Arm.Osr),
+                        &AC);
     };
 
-    // Semantics: recompiling through the queue — immediately or after a
-    // long modelled latency — must not perturb output or the heap.
-    if (std::string D =
-            compareRuns("no-aos", Base, "aos-latency-0",
-                        runProgramWithAOS(In.P, CbsConfig(0), WithJobs(0)));
-        !D.empty())
-      return D;
-    if (std::string D =
-            compareRuns("no-aos", Base, "aos-latency-8",
-                        runProgramWithAOS(In.P, CbsConfig(8), WithJobs(0)));
-        !D.empty())
-      return D;
+    for (double Latency : Arm.SemanticLatencies)
+      if (std::string D = compareRuns(
+              "no-aos", Base,
+              Label + "-latency-" + std::to_string(int(Latency)),
+              AOSRun(Latency, 0));
+          !D.empty())
+        return D;
 
-    // Determinism: worker threads only pre-compute pure compile
-    // results, so jobs=2 must be byte-identical to jobs=0 down to the
-    // serialized profile.
-    RunResult Jobs0 = runProgramWithAOS(In.P, CbsConfig(1), WithJobs(0));
-    RunResult Jobs2 = runProgramWithAOS(In.P, CbsConfig(1), WithJobs(2));
-    if (std::string D = compareRuns("compile-jobs=0", Jobs0, "compile-jobs=2",
-                                    Jobs2);
-        !D.empty())
+    // The cold run (Warm still null) collects the profile a repository
+    // would persist.
+    if (Arm.WarmFromCold)
+      Warm = std::make_shared<const prof::DCGSnapshot>(AOSRun(1, 0).Profile);
+
+    std::string Name0 = Label + "-jobs=0", Name2 = Label + "-jobs=2";
+    RunResult Jobs0 = AOSRun(1, 0);
+    if (std::string D = compareRuns("no-aos", Base, Name0, Jobs0); !D.empty())
+      return D;
+    RunResult Jobs2 = AOSRun(1, 2);
+    if (std::string D = compareRuns(Name0, Jobs0, Name2, Jobs2); !D.empty())
       return D;
     if (Jobs0.Samples != Jobs2.Samples)
-      return "compile-jobs=0 and compile-jobs=2 took different sample "
-             "counts";
-    if (prof::ProfileCodec::encode(Jobs0.Profile) != prof::ProfileCodec::encode(Jobs2.Profile))
-      return "compile-jobs=0 and compile-jobs=2 profiles serialize "
-             "differently";
+      return Name0 + " and " + Name2 + " took different sample counts";
+    if (prof::ProfileCodec::encode(Jobs0.Profile) !=
+        prof::ProfileCodec::encode(Jobs2.Profile))
+      return Name0 + " and " + Name2 + " profiles serialize differently";
     return "";
   }
-};
 
-//===----------------------------------------------------------------------===//
-// deopt-storm-stability
-//===----------------------------------------------------------------------===//
-
-class DeoptStormStabilityOracle : public Oracle {
-public:
-  const char *id() const override { return "deopt-storm-stability"; }
-  const char *describe() const override {
-    return "a forced invalidation storm (every AOS install deoptimized "
-           "at every taken yieldpoint) leaves output and heap "
-           "byte-identical to the no-AOS baseline at any "
-           "--compile-jobs";
-  }
-
-  std::string check(const OracleInput &In) const override {
-    RunResult Base = runProgram(In.P, plainConfig(In.Seed));
-    // A baseline that traps or runs out of budget is output-stability's
-    // finding, not a deopt divergence.
-    if (Base.State != vm::RunState::Finished)
-      return "";
-
-    // The worst case the controller can inflict: every version the AOS
-    // ever installs is invalidated at the very next taken yieldpoint,
-    // forever. Guarded inlining is semantically transparent, so even
-    // this must be invisible to the program — only slower.
-    auto CbsConfig = [&]() {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      Config.Profiler.Kind = vm::ProfilerKind::CBS;
-      Config.Profiler.CBS.Stride = 2;
-      Config.Profiler.CBS.SamplesPerTick = 4;
-      Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = 1;
-      return Config;
-    };
-    auto StormAOS = [](uint32_t Jobs) {
-      aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      AC.Deopt.Enabled = true;
-      AC.Deopt.ForceStormForTesting = true;
-      // A low cap so the storm also exercises conservative pinning.
-      AC.Deopt.MaxDeoptsPerMethod = 2;
-      return AC;
-    };
-
-    RunResult Storm0 = runProgramWithAOS(In.P, CbsConfig(), StormAOS(0));
-    if (std::string D = compareRuns("no-aos", Base, "deopt-storm", Storm0);
-        !D.empty())
-      return D;
-
-    // Invalidation decisions are made on the VM thread in virtual time,
-    // so the storm must stay byte-identical at any worker count.
-    RunResult Storm2 = runProgramWithAOS(In.P, CbsConfig(), StormAOS(2));
-    if (std::string D = compareRuns("storm-jobs=0", Storm0, "storm-jobs=2",
-                                    Storm2);
-        !D.empty())
-      return D;
-    if (Storm0.Samples != Storm2.Samples)
-      return "storm with compile-jobs=0 and compile-jobs=2 took "
-             "different sample counts";
-    if (prof::ProfileCodec::encode(Storm0.Profile) !=
-        prof::ProfileCodec::encode(Storm2.Profile))
-      return "storm with compile-jobs=0 and compile-jobs=2 profiles "
-             "serialize differently";
-    return "";
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// osr-stability
-//===----------------------------------------------------------------------===//
-
-class OsrStabilityOracle : public Oracle {
-public:
-  const char *id() const override { return "osr-stability"; }
-  const char *describe() const override {
-    return "on-stack replacement (promotion and deopt-exit transfers at "
-           "loop-header yieldpoints) preserves output and heap and is "
-           "byte-identical at any --compile-jobs";
-  }
-
-  std::string check(const OracleInput &In) const override {
-    RunResult Base = runProgram(In.P, plainConfig(In.Seed));
-    // A baseline that traps or runs out of budget is output-stability's
-    // finding, not an OSR divergence.
-    if (Base.State != vm::RunState::Finished)
-      return "";
-
-    auto OsrConfig = [&](double LatencyScale) {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      Config.Profiler.Kind = vm::ProfilerKind::CBS;
-      Config.Profiler.CBS.Stride = 2;
-      Config.Profiler.CBS.SamplesPerTick = 4;
-      Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = LatencyScale;
-      Config.EnableOSR = true;
-      return Config;
-    };
-    auto WithJobs = [](uint32_t Jobs) {
-      aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      return AC;
-    };
-
-    // Semantics: a frame transferring mid-loop between versions must not
-    // perturb output or the heap, whether the install lands immediately
-    // (latency 0: promotion OSR fires at the very next backedge) or
-    // after a long modelled latency.
-    if (std::string D =
-            compareRuns("no-aos", Base, "osr-latency-0",
-                        runProgramWithAOS(In.P, OsrConfig(0), WithJobs(0)));
-        !D.empty())
-      return D;
-    if (std::string D =
-            compareRuns("no-aos", Base, "osr-latency-8",
-                        runProgramWithAOS(In.P, OsrConfig(8), WithJobs(0)));
-        !D.empty())
-      return D;
-
-    // Determinism: OSR transfers happen on the VM thread at taken
-    // backedge yieldpoints in virtual time, so any worker count must be
-    // byte-identical down to the serialized profile.
-    RunResult Jobs0 = runProgramWithAOS(In.P, OsrConfig(1), WithJobs(0));
-    RunResult Jobs2 = runProgramWithAOS(In.P, OsrConfig(1), WithJobs(2));
-    if (std::string D =
-            compareRuns("osr-jobs=0", Jobs0, "osr-jobs=2", Jobs2);
-        !D.empty())
-      return D;
-    if (Jobs0.Samples != Jobs2.Samples)
-      return "osr with compile-jobs=0 and compile-jobs=2 took different "
-             "sample counts";
-    if (prof::ProfileCodec::encode(Jobs0.Profile) != prof::ProfileCodec::encode(Jobs2.Profile))
-      return "osr with compile-jobs=0 and compile-jobs=2 profiles "
-             "serialize differently";
-
-    // Deopt-exit path: under the forced invalidation storm every frame
-    // on retired code reconciles to Deopted, and with OSR on it must
-    // transfer off that code at its next loop header — still invisibly.
-    auto StormAOS = [](uint32_t Jobs) {
-      aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      AC.Deopt.Enabled = true;
-      AC.Deopt.ForceStormForTesting = true;
-      AC.Deopt.MaxDeoptsPerMethod = 2;
-      return AC;
-    };
-    RunResult Storm = runProgramWithAOS(In.P, OsrConfig(1), StormAOS(0));
-    if (std::string D = compareRuns("no-aos", Base, "osr-deopt-storm", Storm);
-        !D.empty())
-      return D;
-    RunResult Storm2 = runProgramWithAOS(In.P, OsrConfig(1), StormAOS(2));
-    if (std::string D = compareRuns("osr-storm-jobs=0", Storm,
-                                    "osr-storm-jobs=2", Storm2);
-        !D.empty())
-      return D;
-    if (prof::ProfileCodec::encode(Storm.Profile) !=
-        prof::ProfileCodec::encode(Storm2.Profile))
-      return "osr storm with compile-jobs=0 and compile-jobs=2 profiles "
-             "serialize differently";
-    return "";
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// warm-start-stability
-//===----------------------------------------------------------------------===//
-
-class WarmStartStabilityOracle : public Oracle {
-public:
-  const char *id() const override { return "warm-start-stability"; }
-  const char *describe() const override {
-    return "warm-starting the AOS from a prior run's profile preserves "
-           "output and heap and is byte-identical at any "
-           "--compile-jobs";
-  }
-
-  std::string check(const OracleInput &In) const override {
-    RunResult Base = runProgram(In.P, plainConfig(In.Seed));
-    // A baseline that traps or runs out of budget is output-stability's
-    // finding, not a warm-start divergence.
-    if (Base.State != vm::RunState::Finished)
-      return "";
-
-    auto CbsConfig = [&]() {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      Config.Profiler.Kind = vm::ProfilerKind::CBS;
-      Config.Profiler.CBS.Stride = 2;
-      Config.Profiler.CBS.SamplesPerTick = 4;
-      Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = 1;
-      return Config;
-    };
-
-    // The cold run collects the profile a repository would persist.
-    RunResult Cold = runProgramWithAOS(In.P, CbsConfig(), aos::AOSConfig());
-    auto Persisted = std::make_shared<const prof::DCGSnapshot>(Cold.Profile);
-
-    // The warm run pre-enqueues hot methods from it at cycle 0. Advice
-    // only changes *when* code installs, never what the program does.
-    auto WarmAOS = [&](uint32_t Jobs) {
-      aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      AC.WarmStart.Profile = Persisted;
-      return AC;
-    };
-    RunResult Warm0 = runProgramWithAOS(In.P, CbsConfig(), WarmAOS(0));
-    if (std::string D = compareRuns("no-aos", Base, "warm-start", Warm0);
-        !D.empty())
-      return D;
-
-    // Warm pre-enqueues happen at cycle 0 on the VM thread, so any
-    // worker count must be byte-identical down to the serialized
-    // profile.
-    RunResult Warm2 = runProgramWithAOS(In.P, CbsConfig(), WarmAOS(2));
-    if (std::string D =
-            compareRuns("warm-jobs=0", Warm0, "warm-jobs=2", Warm2);
-        !D.empty())
-      return D;
-    if (Warm0.Samples != Warm2.Samples)
-      return "warm start with compile-jobs=0 and compile-jobs=2 took "
-             "different sample counts";
-    if (prof::ProfileCodec::encode(Warm0.Profile) !=
-        prof::ProfileCodec::encode(Warm2.Profile))
-      return "warm start with compile-jobs=0 and compile-jobs=2 "
-             "profiles serialize differently";
-    return "";
-  }
+  const VariantRow &Row;
 };
 
 //===----------------------------------------------------------------------===//
@@ -719,10 +555,8 @@ OracleRegistry OracleRegistry::builtin() {
   R.add(std::make_unique<CbsSubsetOracle>());
   R.add(std::make_unique<ProfileRoundTripOracle>());
   R.add(std::make_unique<ShardDeterminismOracle>());
-  R.add(std::make_unique<AsyncCompileStabilityOracle>());
-  R.add(std::make_unique<DeoptStormStabilityOracle>());
-  R.add(std::make_unique<OsrStabilityOracle>());
-  R.add(std::make_unique<WarmStartStabilityOracle>());
+  for (const VariantRow &Row : VariantRows)
+    R.add(std::make_unique<VariantOracle>(Row));
   return R;
 }
 

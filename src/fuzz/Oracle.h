@@ -40,6 +40,13 @@
 ///    transfers at loop-header yieldpoints) preserves output and heap
 ///    and is byte-identical at any --compile-jobs count, including
 ///    under the forced invalidation storm.
+///  - warm-start-stability: warm-starting the AOS from a prior cold
+///    run's profile preserves output and heap and is byte-identical at
+///    any --compile-jobs count.
+///
+/// The last four are rows of one table-driven variant oracle
+/// (Oracle.cpp): each row lists AOS configurations ("arms"), and every
+/// arm runs the same template against the no-AOS baseline.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,6 +7,7 @@
 #include "profiling/ProfileCodec.h"
 
 #include "bytecode/Ids.h"
+#include "bytecode/Program.h"
 
 #include <iomanip>
 #include <sstream>
@@ -207,4 +208,39 @@ ProfileCodec::Decoded ProfileCodec::decode(const std::string &Text) {
   }
   Result.Graph = DCGSnapshot::fromEdges(std::move(Edges));
   return Result;
+}
+
+std::string prof::validateAgainst(const DCGSnapshot &DCG,
+                                  const bc::Program &P) {
+  std::string Problem;
+  DCG.forEachEdge([&](CallEdge E, uint64_t) {
+    if (!Problem.empty())
+      return;
+    if (E.Site >= P.numSites()) {
+      Problem = "edge refers to unknown site " + std::to_string(E.Site);
+      return;
+    }
+    if (E.Callee >= P.numMethods()) {
+      Problem =
+          "edge refers to unknown method " + std::to_string(E.Callee);
+      return;
+    }
+    const bc::SiteInfo &Info = P.site(E.Site);
+    const bc::Instruction &I = P.method(Info.Caller).Code[Info.PC];
+    const bc::Method &Callee = P.method(E.Callee);
+    if (I.Op == bc::Opcode::InvokeStatic) {
+      if (static_cast<bc::MethodId>(I.A) != E.Callee)
+        Problem = "static site " + std::to_string(E.Site) +
+                  " cannot call " + P.qualifiedName(E.Callee);
+    } else if (I.Op == bc::Opcode::InvokeVirtual) {
+      if (!Callee.isVirtual() ||
+          Callee.Selector != static_cast<bc::SelectorId>(I.A))
+        Problem = "virtual site " + std::to_string(E.Site) +
+                  " cannot dispatch to " + P.qualifiedName(E.Callee);
+    } else {
+      Problem = "site " + std::to_string(E.Site) +
+                " is not a call instruction";
+    }
+  });
+  return Problem;
 }

@@ -46,6 +46,11 @@
 /// encode byte-identically — the property every determinism check
 /// (jobs 1-vs-8 cmp, fuzz oracles) rests on.
 ///
+/// The codec itself is program-agnostic (a repository can decode
+/// entries for programs it has never seen); validateAgainst() is the
+/// one check that needs the program — whether the edges make sense for
+/// it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CBSVM_PROFILING_PROFILECODEC_H
@@ -56,6 +61,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+
+namespace cbs::bc {
+class Program;
+}
 
 namespace cbs::prof {
 
@@ -105,6 +114,12 @@ public:
   /// edges (v1 predates them).
   static Decoded decode(const std::string &Text);
 };
+
+/// Checks that every edge of \p DCG refers to a valid site/method of
+/// \p P and that the callee is plausible for the site (static target
+/// matches; virtual callee implements the site's selector). Returns an
+/// empty string if fine, else a description of the first problem.
+std::string validateAgainst(const DCGSnapshot &DCG, const bc::Program &P);
 
 } // namespace cbs::prof
 

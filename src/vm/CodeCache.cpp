@@ -59,7 +59,7 @@ const CompiledMethod *CodeCache::invalidate(bc::MethodId Id) {
 }
 
 void CodeCache::pinFrame(const CompiledMethod *CM) {
-  if (!PinTracking || !CM)
+  if (!CM)
     return;
   // The cache owns every version it hands out; frames hold const
   // pointers, so the pin count is adjusted through the owner.
@@ -67,7 +67,7 @@ void CodeCache::pinFrame(const CompiledMethod *CM) {
 }
 
 void CodeCache::unpinFrame(const CompiledMethod *CM) {
-  if (!PinTracking || !CM)
+  if (!CM)
     return;
   CompiledMethod *M = const_cast<CompiledMethod *>(CM);
   assert(M->PinnedFrames > 0 && "unpin without a matching pin");
@@ -76,7 +76,7 @@ void CodeCache::unpinFrame(const CompiledMethod *CM) {
 }
 
 bool CodeCache::reclaimIfUnpinned(const CompiledMethod *CM) {
-  if (!PinTracking || !CM || CM->PinnedFrames != 0)
+  if (!CM || CM->PinnedFrames != 0)
     return false;
   for (size_t I = 0, E = Graveyard.size(); I != E; ++I) {
     if (Graveyard[I].get() != CM)

@@ -16,13 +16,11 @@
 ///    epoch advances, and the next invocation falls back to a fresh
 ///    baseline compile via the VM's lazy ensureCompiled path.
 ///
-/// Without OSR the graveyard only grows: any retired version may still
-/// be pinned by a live frame, and the cache has no way to know. With
-/// pin tracking on (VMConfig::EnableOSR; see setPinTracking) the VM
-/// reports frame entry/exit per version, and a retired version whose
-/// last pinned frame leaves — by returning or by OSR-transferring out —
-/// is reclaimed: freed, with its instructions moved from the graveyard
-/// account to the reclaimed account.
+/// The VM reports frame entry/exit per version (pin counting), and a
+/// retired version whose last pinned frame leaves — by returning or by
+/// OSR-transferring out — is reclaimed: freed, with its instructions
+/// moved from the graveyard account to the reclaimed account. A version
+/// retired while no frame runs it is reclaimed on the spot.
 ///
 /// Installing a version identical in (method, level, plan generation)
 /// to the active one is a checked error: such a double-install would
@@ -93,17 +91,11 @@ public:
   /// Sum of code sizes (instruction counts) of active versions,
   /// maintained incrementally.
   uint64_t activeCodeInstructions() const { return ActiveInstructions; }
-  /// Same accounting for retired versions still alive in the graveyard.
-  /// Without pin tracking this only grows (frames may pin any retired
-  /// version and the cache cannot tell); with it, reclamation moves
-  /// instructions out of this account as the last pinned frame leaves.
+  /// Same accounting for retired versions still alive in the graveyard
+  /// (pinned by a live frame); reclamation moves instructions out of
+  /// this account as the last pinned frame leaves.
   uint64_t graveyardCodeInstructions() const { return GraveyardInstructions; }
   size_t graveyardSize() const { return Graveyard.size(); }
-
-  /// Turns on per-version frame pin counting and graveyard reclamation.
-  /// The VM enables this exactly when VMConfig::EnableOSR is set; with
-  /// it off, pin/unpin are no-ops and the graveyard behaves as before.
-  void setPinTracking(bool On) { PinTracking = On; }
 
   /// A frame began executing \p CM (invocation or OSR transfer in).
   void pinFrame(const CompiledMethod *CM);
@@ -113,11 +105,11 @@ public:
   /// reclaimed on the spot.
   void unpinFrame(const CompiledMethod *CM);
 
-  /// Reclaims \p CM now if pin tracking is on, \p CM sits in the
-  /// graveyard, and no frame pins it. Called by the VM after
-  /// invalidate() (a version retired with zero live frames would
-  /// otherwise wait for an unpin that never comes). Returns true if
-  /// the version was freed; \p CM must not be used afterwards.
+  /// Reclaims \p CM now if it sits in the graveyard and no frame pins
+  /// it. Called by the VM after invalidate() (a version retired with
+  /// zero live frames would otherwise wait for an unpin that never
+  /// comes). Returns true if the version was freed; \p CM must not be
+  /// used afterwards.
   bool reclaimIfUnpinned(const CompiledMethod *CM);
 
   /// Instructions freed from the graveyard by reclamation (cumulative),
@@ -137,7 +129,6 @@ private:
   uint64_t GraveyardInstructions = 0;
   uint64_t ReclaimedInstructions = 0;
   uint64_t Reclaims = 0;
-  bool PinTracking = false;
 };
 
 } // namespace cbs::vm

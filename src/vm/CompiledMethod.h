@@ -87,8 +87,7 @@ struct CompiledMethod {
   /// emitted (the table is inert data when OSR is off); identity
   /// entries for baseline compiles.
   std::vector<OsrPoint> OsrPoints;
-  /// Live frames currently executing this version. Maintained only
-  /// when VMConfig::EnableOSR pin tracking is on; the code cache uses
+  /// Live frames currently executing this version; the code cache uses
   /// it to reclaim graveyard versions once the last frame leaves.
   uint32_t PinnedFrames = 0;
 

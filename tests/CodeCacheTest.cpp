@@ -75,6 +75,7 @@ TEST(CodeCache, RecompileRetiresOldVersionToGraveyard) {
   const CompiledMethod *L0 =
       Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
   size_t L0Size = L0->Code.size();
+  Cache.pinFrame(L0); // a live frame keeps the retiree in the graveyard
   const CompiledMethod *L1 =
       Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
 
@@ -199,7 +200,6 @@ TEST(CodeCache, PinnedRetiredVersionReclaimedAtLastUnpin) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
   CostModel Costs;
-  Cache.setPinTracking(true);
 
   const CompiledMethod *V1 =
       Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
@@ -233,7 +233,6 @@ TEST(CodeCache, UnpinnedRetireeReclaimedImmediatelyOnRecompile) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
   CostModel Costs;
-  Cache.setPinTracking(true);
 
   const CompiledMethod *V1 =
       Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
@@ -246,8 +245,8 @@ TEST(CodeCache, UnpinnedRetireeReclaimedImmediatelyOnRecompile) {
 }
 
 TEST(CodeCache, PinTrackingOffKeepsGraveyardBehaviour) {
-  // Without setPinTracking the pre-OSR contract holds bit for bit: the
-  // graveyard only grows, and pin/unpin/reclaim are no-ops.
+  // Pin tracking is always on, with or without OSR: an unpinned retiree
+  // is freed at install, and a pinned one is kept until its last unpin.
   Program P = twoMethodProgram();
   CodeCache Cache(P);
   CostModel Costs;
@@ -255,12 +254,22 @@ TEST(CodeCache, PinTrackingOffKeepsGraveyardBehaviour) {
   const CompiledMethod *V1 =
       Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
   size_t V1Size = V1->Code.size();
-  Cache.pinFrame(V1);
   Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
-  Cache.unpinFrame(V1);
-  EXPECT_FALSE(Cache.reclaimIfUnpinned(V1));
-  EXPECT_EQ(Cache.graveyardCodeInstructions(), V1Size);
+  EXPECT_EQ(Cache.graveyardSize(), 0u) << "unpinned retiree freed at install";
+  EXPECT_EQ(Cache.numReclaims(), 1u);
+
+  const CompiledMethod *V2 = Cache.active(0);
+  size_t V2Size = V2->Code.size();
+  Cache.pinFrame(V2);
+  Cache.install(CodeCache::compileBaseline(P, 0, 2, Costs));
+  EXPECT_FALSE(Cache.reclaimIfUnpinned(V2)) << "a live frame still runs it";
+  EXPECT_EQ(Cache.graveyardCodeInstructions(), V2Size);
   EXPECT_EQ(Cache.graveyardSize(), 1u);
-  EXPECT_EQ(Cache.reclaimedCodeInstructions(), 0u);
-  EXPECT_EQ(Cache.numReclaims(), 0u);
+  EXPECT_EQ(Cache.numReclaims(), 1u);
+
+  Cache.unpinFrame(V2);
+  EXPECT_EQ(Cache.graveyardCodeInstructions(), 0u);
+  EXPECT_EQ(Cache.graveyardSize(), 0u);
+  EXPECT_EQ(Cache.reclaimedCodeInstructions(), V1Size + V2Size);
+  EXPECT_EQ(Cache.numReclaims(), 2u);
 }

@@ -17,6 +17,7 @@
 #include "fuzz/ProgramGenerator.h"
 #include "fuzz/Reducer.h"
 
+#include "bytecode/Builder.h"
 #include "bytecode/Verifier.h"
 #include "support/Json.h"
 #include "telemetry/MetricRegistry.h"
@@ -257,6 +258,45 @@ TEST(Artifact, ReplayRejectsUnknownOracle) {
   std::string Error;
   replayArtifact(A, Registry, Error);
   EXPECT_NE(Error, "");
+}
+
+//===----------------------------------------------------------------------===//
+// Builtin oracles
+//===----------------------------------------------------------------------===//
+
+TEST(OracleRegistry, BuiltinIdsInRegistrationOrder) {
+  // Ids are the --oracle filter and the artifact field, and registration
+  // order is campaign output order: both are part of the contract.
+  OracleRegistry Registry = OracleRegistry::builtin();
+  std::vector<std::string> Ids;
+  for (const std::unique_ptr<Oracle> &O : Registry.all())
+    Ids.push_back(O->id());
+  EXPECT_EQ(Ids, (std::vector<std::string>{
+                     "output-stability", "cbs-subset", "profile-roundtrip",
+                     "shard-determinism", "async-compile-stability",
+                     "deopt-storm-stability", "osr-stability",
+                     "warm-start-stability"}));
+}
+
+TEST(OracleRegistry, TrappingBaselineIsOutputStabilitysFinding) {
+  // A baseline that traps is reported once, by output-stability; the
+  // AOS variant oracles have nothing to compare against and pass.
+  bc::ProgramBuilder PB;
+  bc::MethodId Main = PB.declareStatic("main");
+  {
+    bc::MethodBuilder MB = PB.defineMethod(Main);
+    MB.iconst(1).iconst(0).idiv().print();
+    MB.finish();
+  }
+  bc::Program P = PB.finish(Main);
+  OracleRegistry Registry = OracleRegistry::builtin();
+  OracleInput In{P, 1};
+
+  std::string Message = Registry.find("output-stability")->check(In);
+  EXPECT_EQ(Message.rfind("baseline run did not finish", 0), 0u) << Message;
+  for (const char *Id : {"async-compile-stability", "deopt-storm-stability",
+                         "osr-stability", "warm-start-stability"})
+    EXPECT_EQ(Registry.find(Id)->check(In), "") << Id;
 }
 
 //===----------------------------------------------------------------------===//

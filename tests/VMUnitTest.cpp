@@ -148,12 +148,13 @@ TEST(CodeCache, InstallRetiresButKeepsOldVersionsAlive) {
   const vm::CompiledMethod *V0 =
       Cache.install(vm::CodeCache::compileBaseline(P, 0, 0, Costs));
   EXPECT_EQ(Cache.activeLevel(0), 0);
+  Cache.pinFrame(V0); // a frame is executing V0
   const vm::CompiledMethod *V2 =
       Cache.install(vm::CodeCache::compileBaseline(P, 0, 2, Costs));
   EXPECT_EQ(Cache.activeLevel(0), 2);
   EXPECT_NE(V0, V2);
-  // The retired version's storage must still be readable: frames may
-  // keep executing it until they return or OSR-transfer off.
+  // The retired version's storage must still be readable: the pinning
+  // frame keeps executing it until it returns or OSR-transfers off.
   EXPECT_EQ(V0->Level, 0);
   EXPECT_FALSE(V0->Code.empty());
   EXPECT_EQ(Cache.numCompiles(), 2u);
