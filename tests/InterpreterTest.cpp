@@ -49,9 +49,18 @@ std::vector<int64_t> runProgram(const Program &P,
 //===----------------------------------------------------------------------===//
 
 struct BinopCase {
+  BinopCase(Opcode Op, int64_t L, int64_t R, int64_t Expected)
+      : Op(Op), L(L), R(R), Expected(Expected) {}
+
   Opcode Op;
+  // gtest cannot print a BinopCase, so it names each case after the
+  // parameter's raw bytes. Implicit padding after Op is copied as whatever
+  // the stack held (at times a stack address, new on every run); spelled
+  // out as zeroed bytes it keeps every case's name the same from run to run.
+  uint8_t Pad[7] = {};
   int64_t L, R, Expected;
 };
+static_assert(sizeof(BinopCase) == 32, "BinopCase must have no padding");
 
 class BinopTest : public ::testing::TestWithParam<BinopCase> {};
 
