@@ -90,6 +90,16 @@ struct CompiledMethod {
   /// Live frames currently executing this version; the code cache uses
   /// it to reclaim graveyard versions once the last frame leaves.
   uint32_t PinnedFrames = 0;
+  /// Cycles the interpreter charges per instruction:
+  /// Costs[PC] == scaledCost(CostModel::cost(Code[PC])). Filled by the
+  /// VM when it installs the version; a frame's Frame::Costs points here.
+  std::vector<uint32_t> Costs;
+  /// Unscaled CostModel::cost(Code[PC]) per instruction, for frames
+  /// that fall back to baseline speed after this version is
+  /// invalidated. Built by the VM the first time a frame deopts on the
+  /// version, through the frames' const pointers; never built when
+  /// ScaleQ8 == 256, where Costs already holds the unscaled costs.
+  mutable std::vector<uint32_t> BaseCosts;
 
   uint64_t scaledCost(uint32_t BaseCost) const {
     return (static_cast<uint64_t>(BaseCost) * ScaleQ8) >> 8;

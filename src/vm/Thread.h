@@ -43,6 +43,9 @@ struct Frame {
   /// yieldpoint (deopt OSR), clearing this flag; without OSR it limps
   /// on its pinned code until it returns.
   bool Deopted = false;
+  /// Per-instruction cycle charges of the code this frame runs: CM's
+  /// scaled table, or its unscaled one once the frame has deopted.
+  const uint32_t *Costs = nullptr;
 };
 
 /// The Jikes RVM yieldpoint control word states (§5.1): prologue and

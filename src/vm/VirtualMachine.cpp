@@ -6,10 +6,12 @@
 
 #include "vm/VirtualMachine.h"
 
+#include "support/ErrorHandling.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/TraceSink.h"
 #include "vm/StackWalker.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -145,7 +147,7 @@ Thread &VirtualMachine::spawnThread(bc::MethodId Entry) {
   T->Alloc = prof::CounterBasedSampler(Config.Profiler.AllocCBS);
   T->Buffer = prof::SampleBuffer(Config.Profiler.SampleBufferCapacity);
   T->Values.resize(CM->NumLocals, 0);
-  T->Frames.push_back({CM, 0, 0});
+  T->Frames.push_back({CM, 0, 0, false, CM->Costs.data()});
   Cache.pinFrame(CM);
   ++InvocationCounts[Entry];
   Threads.push_back(std::move(T));
@@ -170,7 +172,31 @@ const CompiledMethod *VirtualMachine::ensureCompiled(bc::MethodId Id) {
   if (Trace)
     Trace->event(tel::TraceEvent::compileFinish(
         Stats.Cycles, Thr, Id, CM.Level, CM.CompileCostCycles));
+  return installVersion(std::move(CM));
+}
+
+const CompiledMethod *VirtualMachine::installVersion(CompiledMethod CM) {
+  CM.Costs.resize(CM.Code.size());
+  for (size_t PC = 0; PC != CM.Code.size(); ++PC) {
+    uint64_t Cost = CM.scaledCost(Config.Costs.cost(CM.Code[PC]));
+    if (Cost > UINT32_MAX)
+      reportFatalError("instruction " + std::to_string(PC) + " of method " +
+                       std::to_string(CM.Id) + " costs " +
+                       std::to_string(Cost) + " cycles, over 32 bits");
+    CM.Costs[PC] = static_cast<uint32_t>(Cost);
+  }
   return Cache.install(std::move(CM));
+}
+
+const uint32_t *VirtualMachine::baselineCosts(const CompiledMethod &CM) const {
+  if (CM.ScaleQ8 == 256)
+    return CM.Costs.data();
+  if (CM.BaseCosts.empty()) {
+    CM.BaseCosts.reserve(CM.Code.size());
+    for (const bc::Instruction &I : CM.Code)
+      CM.BaseCosts.push_back(Config.Costs.cost(I));
+  }
+  return CM.BaseCosts.data();
 }
 
 bool VirtualMachine::deoptimize(bc::MethodId Id) {
@@ -199,6 +225,7 @@ void VirtualMachine::reconcileDeoptFrames(Thread &T) {
     if (F.Deopted || !F.CM->Invalidated)
       continue;
     F.Deopted = true;
+    F.Costs = baselineCosts(*F.CM);
     ++Stats.FramesDeopted;
     // Frame-state reconstruction for the baseline fallback: a base
     // runtime service, not profiling work.
@@ -249,6 +276,7 @@ void VirtualMachine::maybeOSR(Thread &T, uint32_t BackedgeTarget) {
   F.CM = To;
   F.PC = ToPt->CodePC;
   F.Deopted = false;
+  F.Costs = To->Costs.data();
 
   // Frame-state extraction + rebuild for the other version's code.
   Stats.Cycles += Config.Costs.OsrCost;
@@ -272,7 +300,7 @@ void VirtualMachine::installCompiled(CompiledMethod CM) {
                                                 CM.Level,
                                                 CM.CompileCostCycles));
   }
-  Cache.install(std::move(CM));
+  installVersion(std::move(CM));
 }
 
 size_t VirtualMachine::countRunnable() const {
@@ -591,7 +619,7 @@ void VirtualMachine::invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
          "operand stack underflow at call");
   uint32_t LocalBase = static_cast<uint32_t>(T.Values.size() - ArgCount);
   T.Values.resize(LocalBase + CM->NumLocals, 0);
-  T.Frames.push_back({CM, 0, LocalBase});
+  T.Frames.push_back({CM, 0, LocalBase, false, CM->Costs.data()});
   Cache.pinFrame(CM);
   ++Stats.CallsExecuted;
   Stats.MaxStackDepth = std::max<uint64_t>(Stats.MaxStackDepth,
@@ -675,28 +703,57 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
                        : Stats.Cycles + CycleBudget;
 
   const CostModel &Costs = Config.Costs;
+  // The earliest of the three cycle events that interrupt dispatch: the
+  // budget, the cycle limit and the next timer tick. Only fireTimer
+  // moves NextTimerAt, so only the slow path recomputes it.
+  uint64_t NextEvent = std::min({Limit, Config.MaxCycles, NextTimerAt});
+
+  // Dispatch state lives in locals. vm.cycles and vm.instructions stay
+  // in registers (held in the registry, every int64_t operand-stack
+  // store could alias them), and the running thread and its top frame
+  // are held as pointers instead of being re-read through
+  // Threads[Current] per instruction. Around every out-of-line call the
+  // loop makes: writeBack() before it, since the callee may read the
+  // counters; reload Cycles after it if it may charge cycles; refetch()
+  // after it if it may push or pop frames or switch threads.
+  uint64_t Cycles = Stats.Cycles;
+  uint64_t Instructions = Stats.Instructions;
+  auto writeBack = [&] {
+    Stats.Cycles.Value = Cycles;
+    Stats.Instructions.Value = Instructions;
+  };
+  Thread *CurThread = Threads[Current].get();
+  Frame *CurFrame = &CurThread->top();
+  auto refetch = [&] {
+    CurThread = Threads[Current].get();
+    CurFrame = &CurThread->top();
+  };
 
   while (State == RunState::Running) {
-    if (Stats.Cycles >= Limit)
-      break;
-    if (Stats.Cycles >= Config.MaxCycles) {
-      State = RunState::CycleLimit;
-      break;
+    if (Cycles >= NextEvent) [[unlikely]] {
+      if (Cycles >= Limit)
+        break;
+      if (Cycles >= Config.MaxCycles) {
+        State = RunState::CycleLimit;
+        break;
+      }
+      if (Cycles >= NextTimerAt) {
+        writeBack();
+        fireTimer();
+        Cycles = Stats.Cycles;
+      }
+      NextEvent = std::min({Limit, Config.MaxCycles, NextTimerAt});
     }
-    if (Stats.Cycles >= NextTimerAt)
-      fireTimer();
 
-    Thread &T = *Threads[Current];
-    Frame &F = T.top();
+    Thread &T = *CurThread;
+    Frame &F = *CurFrame;
     const bc::Instruction &I = F.CM->Code[F.PC];
 
-    // A deopted frame runs its pinned code at baseline (unscaled)
-    // speed: the modelled interpreter fallback.
-    Stats.Cycles += F.Deopted ? Costs.cost(I)
-                              : F.CM->scaledCost(Costs.cost(I));
-    Stats.Instructions += I.Op == bc::Opcode::Work
-                              ? static_cast<uint64_t>(I.A)
-                              : 1;
+    // The frame's cost table already holds its version's scaled charge,
+    // or the unscaled one once the frame has deopted (the modelled
+    // interpreter fallback).
+    Cycles += F.Costs[F.PC];
+    ++Instructions; // Work adds the rest of its count in its own case
 
     int64_t *Locals = T.Values.data() + F.LocalBase;
     auto push = [&T](int64_t V) { T.Values.push_back(V); };
@@ -745,6 +802,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
     case Opcode::IDiv: {
       int64_t R = pop(), L = pop();
       if (R == 0) {
+        writeBack();
         trap("division by zero");
         continue;
       }
@@ -757,6 +815,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
     case Opcode::IRem: {
       int64_t R = pop(), L = pop();
       if (R == 0) {
+        writeBack();
         trap("remainder by zero");
         continue;
       }
@@ -856,13 +915,17 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
         // switch/GC requests here too).
         if (Target <= F.PC && T.Word == YieldWord::TakeAll) {
           const CompiledMethod *Before = F.CM;
+          writeBack();
           processTaken(T, Where::Backedge, Target);
+          Cycles = Stats.Cycles;
           // An OSR transfer redirected the frame into another version
           // and already set its PC; Target is a PC of the old code.
           // (The old version may even have been reclaimed — I must not
           // be touched past this point.)
-          if (F.CM != Before)
-            continue;
+          if (F.CM == Before)
+            F.PC = Target;
+          refetch();
+          continue;
         }
         F.PC = Target;
         continue;
@@ -879,6 +942,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       // §8 generalization: the allocation sampler's armed check
       // overloads the allocator's heap-frontier test.
       if (Config.Profiler.ProfileAllocations && T.Alloc.armed()) {
+        writeBack();
         chargeProf(Costs.ArmedEventCost, Stats.OvEntryCheck);
         if (T.Alloc.onInvocationEvent()) {
           // A histogram bump, no walk: counter-update work.
@@ -892,6 +956,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
                                                  bc::InvalidMethodId,
                                                  bc::InvalidSiteId));
         }
+        Cycles = Stats.Cycles;
       }
       push(TheHeap.allocate(
           P.hierarchy().classOf(static_cast<bc::ClassId>(I.A))));
@@ -900,10 +965,12 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
     case Opcode::GetField: {
       Ref R = static_cast<Ref>(pop());
       if (!TheHeap.validRef(R)) {
+        writeBack();
         trap("getfield on null or invalid reference");
         continue;
       }
       if (static_cast<uint32_t>(I.A) >= TheHeap.numFields(R)) {
+        writeBack();
         trap("getfield index out of range");
         continue;
       }
@@ -914,10 +981,12 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       int64_t V = pop();
       Ref R = static_cast<Ref>(pop());
       if (!TheHeap.validRef(R)) {
+        writeBack();
         trap("putfield on null or invalid reference");
         continue;
       }
       if (static_cast<uint32_t>(I.A) >= TheHeap.numFields(R)) {
+        writeBack();
         trap("putfield index out of range");
         continue;
       }
@@ -935,8 +1004,11 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
     }
 
     case Opcode::InvokeStatic:
+      writeBack();
       invoke(T, static_cast<bc::MethodId>(I.A),
              static_cast<uint32_t>(I.B), I.Site);
+      Cycles = Stats.Cycles;
+      refetch();
       continue;
 
     case Opcode::InvokeVirtual: {
@@ -944,19 +1016,24 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       Ref Receiver =
           static_cast<Ref>(T.Values[T.Values.size() - ArgCount]);
       if (!TheHeap.validRef(Receiver)) {
+        writeBack();
         trap("virtual call on null receiver");
         continue;
       }
       bc::MethodId Target = P.hierarchy().lookup(
           TheHeap.classOf(Receiver), static_cast<bc::SelectorId>(I.A));
       if (Target == bc::InvalidMethodId) {
+        writeBack();
         trap("receiver does not understand selector '" +
              P.hierarchy().selectorName(static_cast<bc::SelectorId>(I.A)) +
              "'");
         continue;
       }
       ++Stats.VirtualCallsExecuted;
+      writeBack();
       invoke(T, Target, ArgCount, I.Site);
+      Cycles = Stats.Cycles;
+      refetch();
       continue;
     }
 
@@ -966,8 +1043,11 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       // Epilogue yieldpoint: Jikes RVM only (§5.1); J9's mechanism is
       // the method-entry check and has no epilogue event.
       if (Config.Pers == Personality::JikesRVM &&
-          T.Word != YieldWord::Clear)
+          T.Word != YieldWord::Clear) {
+        writeBack();
         processTaken(T, Where::Epilogue);
+        Cycles = Stats.Cycles;
+      }
 
       bool HasResult = I.Op != Opcode::Return;
       int64_t Result = HasResult ? pop() : 0;
@@ -981,6 +1061,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
         T.Finished = true;
         // Shutdown flush: a finished thread's staged samples must not
         // sit in a dead buffer.
+        writeBack();
         flushThreadBuffer(T);
         if (countRunnable() == 0) {
           State = RunState::Finished;
@@ -988,15 +1069,21 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
           SwitchPending = true;
           maybeSwitch();
         }
+        Cycles = Stats.Cycles;
+        if (State == RunState::Running)
+          refetch();
         continue;
       }
       if (HasResult)
         push(Result);
       ++T.top().PC;
+      refetch();
       continue;
     }
 
     case Opcode::Work:
+      // Work counts its modelled cycles as instructions.
+      Instructions += static_cast<uint64_t>(I.A) - 1;
       break;
     case Opcode::Print:
       Output.push_back(pop());
@@ -1005,12 +1092,14 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       State = RunState::Halted;
       continue;
     case Opcode::Spawn:
+      writeBack();
       spawnThread(static_cast<bc::MethodId>(I.A));
       break;
     }
 
     ++F.PC;
   }
+  writeBack();
   // Shutdown notification: once, when the run first reaches a terminal
   // state (a budget break leaves State == Running and does not fire).
   // The VM is still fully alive here, so the hook can snapshot the

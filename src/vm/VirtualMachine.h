@@ -259,6 +259,13 @@ private:
   /// the VM thread in virtual time — determinism-neutral.
   void maybeOSR(Thread &T, uint32_t BackedgeTarget);
   const CompiledMethod *ensureCompiled(bc::MethodId Id);
+  /// Fills \p CM's per-instruction cost table from the cost model and
+  /// installs it in the code cache: every version the interpreter runs
+  /// goes through here.
+  const CompiledMethod *installVersion(CompiledMethod CM);
+  /// \p CM's unscaled per-instruction costs (the deopted-frame charge),
+  /// built on first use.
+  const uint32_t *baselineCosts(const CompiledMethod &CM) const;
   /// Pushes a frame for \p Callee consuming \p ArgCount values from the
   /// current operand stack; runs entry profiling hooks.
   void invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
