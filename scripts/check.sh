@@ -21,7 +21,9 @@
 # produces byte-identical JSON to --jobs 1, --dcg-shards 8 produces
 # byte-identical profiles, metrics, and self-observability reports to
 # --dcg-shards 1, and --compile-jobs 4 produces byte-identical
-# profiles and metrics to --compile-jobs 0.
+# profiles and metrics to --compile-jobs 0. The full suite includes the
+# paper-table goldens (PaperGolden.*), which regenerate
+# bench/golden/*.json and compare them byte for byte.
 #
 # Usage: scripts/check.sh [build-dir]
 #
